@@ -499,3 +499,68 @@ func TestAdmitResultHandler(t *testing.T) {
 		mu.Unlock()
 	}
 }
+
+// TestAdmitShardedParsedWorkload attaches twice to a sharded migratable
+// session built from ParseWorkload output. The parsed query slice has spare
+// capacity, so replicas that appended to a shared backing array would race
+// with each other (caught under -race) and write into the caller's
+// workload; every replica chain must own its query roster.
+func TestAdmitShardedParsedWorkload(t *testing.T) {
+	w, err := stateslice.ParseWorkload(`
+		q1: SELECT * FROM a JOIN b ON a.k = b.k WINDOW 2 s;
+		q2: SELECT * FROM a JOIN b ON a.k = b.k WINDOW 5 s;
+		q3: SELECT * FROM a JOIN b ON a.k = b.k WINDOW 8 s;
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := cap(w.Queries) - len(w.Queries)
+	if spare == 0 {
+		// Force the shape the regression needs regardless of how the
+		// binder sizes its slice.
+		w.Queries = append(make([]stateslice.Query, 0, len(w.Queries)+2), w.Queries...)
+		spare = 2
+	}
+	backing := w.Queries[:cap(w.Queries)]
+	p, err := stateslice.Build(w, stateslice.MemOpt, stateslice.WithMigratable(), stateslice.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := p.NewSession(stateslice.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := keyedInput(t)
+	third := len(input) / 3
+	ids := []stateslice.QueryID{}
+	for i, q := range []stateslice.Query{
+		{Name: "qa", Window: 3 * stateslice.Second},
+		{Name: "qb", Window: 6 * stateslice.Second},
+	} {
+		if err := sess.Consume(stateslice.SliceSource(input[i*third : (i+1)*third])); err != nil {
+			t.Fatal(err)
+		}
+		id, err := sess.Attach(q)
+		if err != nil {
+			t.Fatalf("Attach(%s): %v", q.Name, err)
+		}
+		ids = append(ids, id)
+	}
+	if err := sess.Consume(stateslice.SliceSource(input[2*third:])); err != nil {
+		t.Fatal(err)
+	}
+	res := sess.Finish()
+	if res.Err != nil {
+		t.Fatalf("session error: %v", res.Err)
+	}
+	for _, id := range ids {
+		if res.SinkCounts[id] == 0 {
+			t.Errorf("attached query %d delivered no results", id)
+		}
+	}
+	for i := len(w.Queries); i < len(w.Queries)+spare; i++ {
+		if backing[i] != (stateslice.Query{}) {
+			t.Errorf("Attach wrote %+v into the caller's workload (spare slot %d)", backing[i], i)
+		}
+	}
+}

@@ -299,7 +299,7 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 		// Chains route WithResultHandler and WithSink through the plan's
 		// own result hook: sinks created later by Session.Attach then get
 		// the same composite, so admitted queries stream results too.
-		cfg.OnResult = sequentialOnResult(o)
+		cfg.OnResult = resultHook(o.resultHandler, o.sinks)
 		var (
 			sp  *plan.StateSlicePlan
 			err error
@@ -347,7 +347,7 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 			return nil, err
 		}
 	}
-	if h := sequentialOnResult(o); h != nil && bp.chain == nil {
+	if h := resultHook(o.resultHandler, o.sinks); h != nil && bp.chain == nil {
 		for qi := range bp.exec.Sinks {
 			qi := qi
 			bp.exec.Sinks[qi].OnResult(func(t *Tuple) { h(qi, t) })
@@ -356,22 +356,28 @@ func Build(w Workload, s Strategy, opts ...Option) (Plan, error) {
 	return bp, nil
 }
 
-// sequentialOnResult composes the build's streaming result callbacks — the
+// resultHook composes the build's streaming result callbacks — the
 // WithResultHandler handler first, then the query's WithSink sink — into the
-// single per-query hook the sequential executors invoke. Nil when neither is
-// configured.
-func sequentialOnResult(o buildOptions) func(int, *Tuple) {
-	if o.resultHandler == nil && len(o.sinks) == 0 {
-		return nil
-	}
-	handler, sinks := o.resultHandler, o.sinks
-	return func(qi int, t *Tuple) {
-		if handler != nil {
-			handler(QueryID(qi), t)
-		}
+// single per-query hook every executor invokes. Nil when neither is
+// configured. The composition is fixed at build time, so a build without
+// sinks never pays the per-result sink lookup.
+func resultHook(handler func(QueryID, *Tuple), sinks map[int]Sink) func(int, *Tuple) {
+	emit := func(qi int, t *Tuple) {
 		if s, ok := sinks[qi]; ok {
 			s.Emit(t)
 		}
+	}
+	switch {
+	case len(sinks) == 0 && handler == nil:
+		return nil
+	case len(sinks) == 0:
+		return func(qi int, t *Tuple) { handler(QueryID(qi), t) }
+	case handler == nil:
+		return emit
+	}
+	return func(qi int, t *Tuple) {
+		handler(QueryID(qi), t)
+		emit(qi, t)
 	}
 }
 
@@ -850,15 +856,7 @@ func (p *concurrentPlan) Run(src Source, cfg RunConfig) (*Result, error) {
 	if cfg.BatchSize != 0 {
 		return nil, errors.New("stateslice: RunConfig.BatchSize tunes the sequential engine's micro-batch; the concurrent pipeline batches by channel slab and ignores it — run without BatchSize or build without WithConcurrency")
 	}
-	var onResult func(int, *Tuple)
-	if len(p.sinks) > 0 {
-		sinks := p.sinks
-		onResult = func(qi int, t *Tuple) {
-			if s, ok := sinks[qi]; ok {
-				s.Emit(t)
-			}
-		}
-	}
+	onResult := resultHook(nil, p.sinks)
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = p.ctx

@@ -28,8 +28,7 @@ type WindowJoin struct {
 	states [2]*stream.State
 	out    Port
 	hash   bool
-	// slab amortizes the joined-result allocations.
-	slab stream.TupleSlab
+	probes prober
 }
 
 // NewWindowJoin builds a regular sliding-window join. wa is the window on
@@ -113,43 +112,47 @@ func (j *WindowJoin) process(m *CostMeter, t *stream.Tuple) {
 
 // probe emits all matches between t and the opposite state st.
 func (j *WindowJoin) probe(m *CostMeter, st *stream.State, t *stream.Tuple) {
-	if j.hash {
-		m.hash(1)
-		bucket := st.Bucket(t.Key)
-		m.probe(len(bucket))
-		for _, o := range bucket {
-			j.emit(t, o)
-		}
+	if !j.hash {
+		j.probes.probe(m, st, j.pred, t, &j.out)
 		return
 	}
-	sa, sb := st.Spans()
-	m.probe(len(sa) + len(sb))
-	for _, o := range sa {
-		if matches(j.pred, t, o) {
-			j.emit(t, o)
-		}
-	}
-	for _, o := range sb {
-		if matches(j.pred, t, o) {
-			j.emit(t, o)
-		}
+	m.hash(1)
+	bucket := st.Bucket(t.Key)
+	m.probe(len(bucket))
+	for _, o := range bucket {
+		j.probes.emit(t, o, &j.out)
 	}
 }
 
-func (j *WindowJoin) emit(t, o *stream.Tuple) {
+// prober is the probe step every join shares: it charges the meter one
+// comparison per tuple of the opposite state (the paper's nested-loop cost,
+// match or not), runs the state's column kernel (stream.State.Probe) and
+// emits the joined results oldest-first, stream-A tuple first.
+type prober struct {
+	// slab amortizes the joined-result allocations.
+	slab stream.TupleSlab
+	// hits is the kernel's reusable match-position buffer.
+	hits []int
+}
+
+// probe joins t with every matching tuple of st, pushing results to out.
+func (p *prober) probe(m *CostMeter, st *stream.State, pred stream.JoinPredicate, t *stream.Tuple, out *Port) {
+	m.probe(st.Len())
+	p.hits = st.Probe(pred, t, p.hits[:0])
+	// The positions stay valid because emitting never mutates the state.
+	for _, i := range p.hits {
+		p.emit(t, st.At(i), out)
+	}
+}
+
+// emit pushes the result of the probing tuple t joined with the stored
+// tuple o.
+func (p *prober) emit(t, o *stream.Tuple, out *Port) {
 	if t.Stream == stream.StreamA {
-		j.out.PushTuple(j.slab.Joined(t, o))
+		out.PushTuple(p.slab.Joined(t, o))
 	} else {
-		j.out.PushTuple(j.slab.Joined(o, t))
+		out.PushTuple(p.slab.Joined(o, t))
 	}
-}
-
-// matches evaluates the join predicate with the stream-A tuple first.
-func matches(pred stream.JoinPredicate, t, o *stream.Tuple) bool {
-	if t.Stream == stream.StreamA {
-		return pred.Match(t, o)
-	}
-	return pred.Match(o, t)
 }
 
 // purgeExpired removes tuples from the front of st whose age relative to now
@@ -157,17 +160,21 @@ func matches(pred stream.JoinPredicate, t, o *stream.Tuple) bool {
 // Purged-Tuple queue of a sliced join, where they arrive as the female
 // reference copies of the following slice) and discarding them otherwise.
 // Every examined tuple, including the one that stops the scan, costs one
-// timestamp comparison on the meter.
+// timestamp comparison on the meter. The comparison reads the state's time
+// column; a tuple is touched only when it is popped.
 func purgeExpired(m *CostMeter, st *stream.State, now stream.Time, window stream.Time, next *Port) {
-	for st.Len() > 0 {
-		m.purge(1)
-		front := st.Front()
-		if now-front.Time <= window {
+	for {
+		front, ok := st.FrontTime()
+		if !ok {
 			return
 		}
-		st.PopFront()
+		m.purge(1)
+		if now-front <= window {
+			return
+		}
+		t := st.PopFront()
 		if next != nil {
-			next.Push(stream.RoleItem(front, stream.RoleFemale))
+			next.Push(stream.RoleItem(t, stream.RoleFemale))
 		}
 	}
 }

@@ -29,8 +29,7 @@ type SlicedOneWayJoin struct {
 	// of the paper: "self-purge is also applicable"). Table 2's rows 9-10
 	// are only reproducible with it enabled; see the slicetrace command.
 	selfPurge bool
-	// slab amortizes the joined-result allocations.
-	slab stream.TupleSlab
+	probes    prober
 }
 
 // NewSlicedOneWayJoin builds a sliced one-way join for the window range
@@ -100,18 +99,7 @@ func (j *SlicedOneWayJoin) Step(m *CostMeter, max int) int {
 		}
 		// Arriving B tuple: cross-purge, probe, propagate (Figure 6).
 		purgeExpired(m, j.stateA, t.Time, j.wend, &j.next)
-		sa, sb := j.stateA.Spans()
-		m.probe(len(sa) + len(sb))
-		for _, a := range sa {
-			if j.pred.Match(a, t) {
-				j.result.PushTuple(j.slab.Joined(a, t))
-			}
-		}
-		for _, a := range sb {
-			if j.pred.Match(a, t) {
-				j.result.PushTuple(j.slab.Joined(a, t))
-			}
-		}
+		j.probes.probe(m, j.stateA, j.pred, t, &j.result)
 		j.next.PushTuple(t)
 		j.result.PushPunct(t.Time)
 	}

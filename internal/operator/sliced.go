@@ -34,8 +34,7 @@ type SlicedBinaryJoin struct {
 	// timestamp lower-bounds every future probing male of the other
 	// stream.
 	selfPurge bool
-	// slab amortizes the joined-result allocations of this slice.
-	slab stream.TupleSlab
+	probes    prober
 }
 
 // NewSlicedBinaryJoin builds a sliced binary join for the window range
@@ -138,34 +137,8 @@ func (j *SlicedBinaryJoin) processMale(m *CostMeter, t *stream.Tuple) {
 	opp := j.states[t.Stream.Other()]
 	// 1. Cross-purge the opposite state into the next slice.
 	purgeExpired(m, opp, t.Time, j.wend, &j.next)
-	// 2. Probe the surviving opposite females. The two spans cover the
-	// state oldest-first with plain slice iteration; they stay valid
-	// because emit never mutates the state.
-	sa, sb := opp.Spans()
-	m.probe(len(sa) + len(sb))
-	if t.Stream == stream.StreamA {
-		for _, f := range sa {
-			if j.pred.Match(t, f) {
-				j.result.PushTuple(j.slab.Joined(t, f))
-			}
-		}
-		for _, f := range sb {
-			if j.pred.Match(t, f) {
-				j.result.PushTuple(j.slab.Joined(t, f))
-			}
-		}
-	} else {
-		for _, f := range sa {
-			if j.pred.Match(f, t) {
-				j.result.PushTuple(j.slab.Joined(f, t))
-			}
-		}
-		for _, f := range sb {
-			if j.pred.Match(f, t) {
-				j.result.PushTuple(j.slab.Joined(f, t))
-			}
-		}
-	}
+	// 2. Probe the surviving opposite females.
+	j.probes.probe(m, opp, j.pred, t, &j.result)
 	// 3. Propagate the male to the next slice.
 	j.next.Push(stream.RoleItem(t, stream.RoleMale))
 	j.result.PushPunct(t.Time)

@@ -346,7 +346,7 @@ func buildRestoredChain(w Workload, cfg StateSliceConfig, live []bool) (*StateSl
 	}
 	sp := &StateSlicePlan{
 		Plan: &engine.Plan{Name: name},
-		w:    w,
+		w:    w.ownRoster(),
 		cfg:  cfg,
 	}
 	entryQ := stream.NewQueue()

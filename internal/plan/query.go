@@ -139,6 +139,15 @@ func (w Workload) AnyFilter() bool {
 	return false
 }
 
+// ownRoster returns w with a private copy of its query slice. A chain's
+// roster grows on Attach, and the replicas of a sharded plan are all built
+// from one caller workload: appending into a shared backing array with spare
+// capacity would race across replicas and write into the caller's slice.
+func (w Workload) ownRoster() Workload {
+	w.Queries = append([]Query(nil), w.Queries...)
+	return w
+}
+
 // trivial reports whether a predicate is absent or always true.
 func trivial(p stream.Predicate) bool {
 	if p == nil {

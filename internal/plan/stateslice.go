@@ -117,7 +117,7 @@ func BuildStateSlice(w Workload, cfg StateSliceConfig) (*StateSlicePlan, error) 
 	}
 	sp := &StateSlicePlan{
 		Plan: &engine.Plan{Name: name},
-		w:    w,
+		w:    w.ownRoster(),
 		cfg:  cfg,
 	}
 

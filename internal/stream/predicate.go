@@ -68,18 +68,16 @@ type BandJoin struct {
 
 // Match implements JoinPredicate.
 func (j BandJoin) Match(a, b *Tuple) bool {
-	if j.B < 0 {
-		return false
+	return j.B >= 0 && keyDistance(a.Key, b.Key) <= uint64(j.B)
+}
+
+// keyDistance returns |a - b| as an unsigned distance: exact for the full
+// int64 key range, where the signed difference could overflow.
+func keyDistance(a, b int64) uint64 {
+	if a >= b {
+		return uint64(a) - uint64(b)
 	}
-	// Unsigned distance: exact for the full int64 key range, where the
-	// signed difference could overflow.
-	var d uint64
-	if a.Key >= b.Key {
-		d = uint64(a.Key) - uint64(b.Key)
-	} else {
-		d = uint64(b.Key) - uint64(a.Key)
-	}
-	return d <= uint64(j.B)
+	return uint64(b) - uint64(a)
 }
 
 // String implements JoinPredicate.
@@ -149,7 +147,19 @@ func (f FractionMatch) String() string { return fmt.Sprintf("match(S1=%g)", f.S)
 // pairUniform maps an unordered pair of sequence numbers to a uniform
 // float64 in [0,1) using a splitmix64-style finalizer.
 func pairUniform(x, y uint64) float64 {
-	z := x*0x9E3779B97F4A7C15 + y*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
+	return uniformOf(x*fracMulA + y*fracMulB + fracAdd)
+}
+
+// The linear pre-mix of pairUniform. The probe kernel (Probe) folds the
+// fixed probing tuple's term once per scan.
+const (
+	fracMulA uint64 = 0x9E3779B97F4A7C15
+	fracMulB uint64 = 0xBF58476D1CE4E5B9
+	fracAdd  uint64 = 0x94D049BB133111EB
+)
+
+// uniformOf finalizes a pre-mixed pair word into a uniform float64 in [0,1).
+func uniformOf(z uint64) float64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27

@@ -7,17 +7,31 @@ package stream
 //
 // The ring length is always a power of two so that index wraps are bit masks
 // rather than modulo divisions, and Spans exposes the deque as at most two
-// contiguous slices so the probe loop of a sliced join touches tuples with
-// plain slice iteration — no per-element index arithmetic at all.
+// contiguous slices, so iteration over the tuples is plain slice iteration
+// with no per-element index arithmetic.
+//
+// Beside the tuple ring the state keeps pointer-free parallel columns of the
+// three attributes its readers compare: keys, times and seqs share the
+// ring's head and mask, so entry i of each column mirrors the Key, Time and
+// Seq of buf[i]. Probe kernels (Probe) and cross-purge (FrontTime) scan
+// these contiguous integers instead of dereferencing scattered *Tuple
+// pointers. The mirror holds because a tuple's Key, Time and Seq never
+// change once it is inserted: operators wrap or copy tuples, and the lineage
+// marker writes only Level and CondMask.
 //
 // When a hash index is attached (WithIndex), probes for equijoin predicates
 // touch only the matching bucket, modelling the hash-join variant the paper
 // cites from Kang et al. [14].
 type State struct {
-	buf   []*Tuple
-	head  int
-	n     int
-	index map[int64][]*Tuple // optional equijoin index: Key -> tuples
+	buf []*Tuple
+	// keys, times and seqs are views of one pointer-free allocation of
+	// 3*len(buf) words, made on the first Insert (an empty state costs
+	// no more than the tuple ring) and replaced by every grow. times
+	// holds Time and seqs holds the Seq bits, both as int64.
+	keys, times, seqs []int64
+	head              int
+	n                 int
+	index             map[int64][]*Tuple // optional equijoin index: Key -> tuples
 }
 
 // stateInitCap is the initial ring capacity; must be a power of two.
@@ -60,6 +74,16 @@ func (s *State) Spans() (a, b []*Tuple) {
 	return s.buf[s.head:], s.buf[:end&(len(s.buf)-1)]
 }
 
+// FrontTime returns the timestamp of the oldest tuple from the time
+// column, without touching the tuple itself; ok is false when the state is
+// empty.
+func (s *State) FrontTime() (t Time, ok bool) {
+	if s.n == 0 {
+		return 0, false
+	}
+	return Time(s.times[s.head]), true
+}
+
 // Front returns the oldest tuple, or nil when empty.
 func (s *State) Front() *Tuple {
 	if s.n == 0 {
@@ -79,10 +103,12 @@ func (s *State) Back() *Tuple {
 // Insert appends t at the back (tuples arrive in timestamp order, so the
 // deque stays sorted by Time).
 func (s *State) Insert(t *Tuple) {
-	if s.n == len(s.buf) {
+	if s.n == len(s.keys) {
 		s.grow()
 	}
-	s.buf[(s.head+s.n)&(len(s.buf)-1)] = t
+	i := (s.head + s.n) & (len(s.buf) - 1)
+	s.buf[i] = t
+	s.keys[i], s.times[i], s.seqs[i] = t.Key, int64(t.Time), int64(t.Seq)
 	s.n++
 	if s.index != nil {
 		s.index[t.Key] = append(s.index[t.Key], t)
@@ -150,10 +176,31 @@ func (s *State) AppendAll(other *State) {
 	}
 }
 
+// grow makes room for one more tuple. The first call only allocates the
+// columns for the initial ring; later calls run on a full ring and double
+// the ring and the columns together, unwrapping them to start at index 0.
 func (s *State) grow() {
-	nb := make([]*Tuple, 2*len(s.buf))
-	n := copy(nb, s.buf[s.head:])
-	copy(nb[n:], s.buf[:s.head])
-	s.buf = nb
+	size := len(s.buf)
+	if s.keys != nil {
+		size *= 2
+		nb := make([]*Tuple, size)
+		unwrap(nb, s.buf, s.head)
+		s.buf = nb
+	}
+	cols := make([]int64, 3*size)
+	keys, times, seqs := cols[:size:size], cols[size:2*size:2*size], cols[2*size:]
+	if s.keys != nil {
+		unwrap(keys, s.keys, s.head)
+		unwrap(times, s.times, s.head)
+		unwrap(seqs, s.seqs, s.head)
+	}
+	s.keys, s.times, s.seqs = keys, times, seqs
 	s.head = 0
+}
+
+// unwrap copies the full ring src, whose oldest entry is at head, to the
+// front of dst in oldest-first order.
+func unwrap[T any](dst, src []T, head int) {
+	n := copy(dst, src[head:])
+	copy(dst[n:], src[:head])
 }

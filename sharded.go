@@ -213,18 +213,7 @@ func (p *shardedPlan) executor(cfg RunConfig) (*shard.Executor, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = p.batchSize
 	}
-	var onResult func(int, *Tuple)
-	if p.handler != nil || len(p.sinks) > 0 {
-		handler, sinks := p.handler, p.sinks
-		onResult = func(qi int, t *Tuple) {
-			if handler != nil {
-				handler(QueryID(qi), t)
-			}
-			if s, ok := sinks[qi]; ok {
-				s.Emit(t)
-			}
-		}
-	}
+	onResult := resultHook(p.handler, p.sinks)
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = p.ctx
